@@ -23,11 +23,11 @@ prepareCase(const std::string &app_name, const CooMatrix &reordered)
 }
 
 CooMatrix
-reorderMatrix(CooMatrix raw, ReorderKind kind)
+reorderMatrix(const CooMatrix &raw, ReorderKind kind)
 {
     if (kind == ReorderKind::None)
         return raw;
-    CsrMatrix csr = CsrMatrix::fromCoo(raw);
+    const CsrMatrix csr = CsrMatrix::fromCoo(raw);
     // makeReorder emits a bijection over a square matrix by
     // construction, so value() cannot trip.
     return applySymmetricPermutation(raw, makeReorder(kind, csr))

@@ -150,8 +150,8 @@ struct RunReport
 PreparedCase prepareCase(const std::string &app_name,
                          const CooMatrix &reordered);
 
-/** Apply a symmetric row reorder (None returns the input). */
-CooMatrix reorderMatrix(CooMatrix raw, ReorderKind kind);
+/** Apply a symmetric row reorder (None returns a copy of the input). */
+CooMatrix reorderMatrix(const CooMatrix &raw, ReorderKind kind);
 
 class Session
 {

@@ -119,7 +119,10 @@ CsrMatrix prepareWeighted(CooMatrix m);
 
 /**
  * Symmetrise and make strictly diagonally dominant: the SPD system
- * used by the cg / bgs / gmres solver benchmarks.
+ * used by the cg / bgs / gmres solver benchmarks.  Off the diagonal
+ * b_ij = a_ij/2 + a_ji/2 (zero sums dropped, the input diagonal
+ * ignored); b_ii = 1 + sum_j |b_ij|.  The input is canonicalized
+ * first, so duplicate triplets merge before they are halved.
  */
 CsrMatrix prepareSpd(CooMatrix m);
 

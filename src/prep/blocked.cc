@@ -1,6 +1,6 @@
 #include "prep/blocked.hh"
 
-#include <unordered_set>
+#include <vector>
 
 namespace sparsepipe {
 
@@ -57,17 +57,19 @@ buildBlockedLayout(const CsrMatrix &matrix, Idx block_size)
     layout.grid_rows = (matrix.rows() + block_size - 1) / block_size;
     layout.grid_cols = (matrix.cols() + block_size - 1) / block_size;
 
-    std::unordered_set<std::uint64_t> blocks;
+    // Count distinct (block row, block column) pairs: stamp[bc]
+    // holds the last block row (+1) that touched block column bc.
+    std::vector<Idx> stamp(static_cast<std::size_t>(layout.grid_cols), 0);
+    Idx blocks = 0;
     for (Idx r = 0; r < matrix.rows(); ++r) {
-        const std::uint64_t br =
-            static_cast<std::uint64_t>(r / block_size);
+        const Idx mark = r / block_size + 1;
         for (Idx c : matrix.rowCols(r)) {
-            const std::uint64_t bc =
-                static_cast<std::uint64_t>(c / block_size);
-            blocks.insert(br << 32 | bc);
+            Idx &seen = stamp[static_cast<std::size_t>(c / block_size)];
+            blocks += seen != mark;
+            seen = mark;
         }
     }
-    layout.nonzero_blocks = static_cast<Idx>(blocks.size());
+    layout.nonzero_blocks = blocks;
     return layout;
 }
 

@@ -93,21 +93,8 @@ CooMatrix::canonicalize()
 {
     // Fast path: generators and format round-trips usually hand us
     // entries that are already sorted, duplicate-free, and zero-free;
-    // one linear scan then replaces the O(n log n) sort.
-    bool clean = true;
-    for (std::size_t i = 0; i < entries_.size() && clean; ++i) {
-        if (entries_[i].val == 0.0) {
-            clean = false;
-            break;
-        }
-        if (i > 0) {
-            const Triplet &a = entries_[i - 1];
-            const Triplet &b = entries_[i];
-            if (a.row > b.row || (a.row == b.row && a.col >= b.col))
-                clean = false;
-        }
-    }
-    if (clean)
+    // one linear scan then replaces the sort.
+    if (isClean())
         return;
     sortRowMajor();
     std::vector<Triplet> merged;
@@ -143,6 +130,22 @@ CooMatrix::topLeft(Idx rows, Idx cols) const
         if (t.row < rows && t.col < cols)
             out.entries_.push_back(t);
     return out;
+}
+
+bool
+CooMatrix::isClean() const
+{
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (entries_[i].val == 0.0)
+            return false;
+        if (i > 0) {
+            const Triplet &a = entries_[i - 1];
+            const Triplet &b = entries_[i];
+            if (a.row > b.row || (a.row == b.row && a.col >= b.col))
+                return false;
+        }
+    }
+    return true;
 }
 
 bool

@@ -84,6 +84,12 @@ class CooMatrix
     /** @return true if the entries are sorted row-major with no dups. */
     bool isCanonical() const;
 
+    /**
+     * @return true if canonicalize() would leave the matrix as is:
+     * canonical and free of explicit zeros.
+     */
+    bool isClean() const;
+
   private:
     [[noreturn]] void addOutOfRange(Idx row, Idx col) const;
 

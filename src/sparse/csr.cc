@@ -75,9 +75,25 @@ transposeCompressed(Idx src_major, Idx dst_major,
 } // anonymous namespace
 
 CsrMatrix
-CsrMatrix::fromCoo(CooMatrix coo)
+CsrMatrix::fromCoo(const CooMatrix &coo)
+{
+    // A clean matrix compresses as is; anything else is canonicalized
+    // in a copy, leaving the caller's matrix untouched.
+    if (coo.isClean())
+        return fromCanonical(coo);
+    return fromCoo(CooMatrix(coo));
+}
+
+CsrMatrix
+CsrMatrix::fromCoo(CooMatrix &&coo)
 {
     coo.canonicalize();
+    return fromCanonical(coo);
+}
+
+CsrMatrix
+CsrMatrix::fromCanonical(const CooMatrix &coo)
+{
     CsrMatrix out;
     out.rows_ = coo.rows();
     out.cols_ = coo.cols();

@@ -27,8 +27,14 @@ class CsrMatrix
   public:
     CsrMatrix() = default;
 
-    /** Build from a COO matrix (canonicalized internally). */
-    static CsrMatrix fromCoo(CooMatrix coo);
+    /**
+     * Build from a COO matrix (canonicalized internally).  An
+     * lvalue that is already clean (CooMatrix::isClean) is read in
+     * place; any other lvalue is canonicalized in a copy, and an
+     * rvalue in place.
+     */
+    static CsrMatrix fromCoo(const CooMatrix &coo);
+    static CsrMatrix fromCoo(CooMatrix &&coo);
 
     /** Build from a column-ordered CSC matrix. */
     static CsrMatrix fromCsc(const CscMatrix &csc);
@@ -71,6 +77,9 @@ class CsrMatrix
 
   private:
     friend class CscMatrix;
+
+    /** Compress a matrix already in canonical row-major order. */
+    static CsrMatrix fromCanonical(const CooMatrix &coo);
 
     Idx rows_ = 0;
     Idx cols_ = 0;

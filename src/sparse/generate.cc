@@ -48,23 +48,24 @@ generateRmat(Idx n, Idx nnz, Rng &rng, double a, double b, double c)
     while (size < n)
         size <<= 1;
 
+    // Quadrant per level from one draw p: top-left if p < a, else
+    // top-right if p < a + b, else bottom-left if p < a + b + c,
+    // else bottom-right.  The descent is computed branch-free from
+    // the same comparisons, since p is unpredictable by design.
+    const double ab = a + b;
+    const double abc = ab + c;
     CooMatrix out(n, n);
     out.reserve(static_cast<std::size_t>(nnz));
     Idx placed = 0;
     while (placed < nnz) {
         Idx r = 0, col = 0;
         for (Idx half = size >> 1; half > 0; half >>= 1) {
-            double p = rng.nextDouble();
-            if (p < a) {
-                // top-left quadrant
-            } else if (p < a + b) {
-                col += half;
-            } else if (p < a + b + c) {
-                r += half;
-            } else {
-                r += half;
-                col += half;
-            }
+            const double p = rng.nextDouble();
+            const Idx past_a = p >= a;
+            const Idx past_ab = past_a & (p >= ab);
+            const Idx past_abc = past_ab & (p >= abc);
+            r += half & -past_ab;
+            col += half & -((past_a & ~past_ab) | past_abc);
         }
         if (r >= n || col >= n)
             continue;

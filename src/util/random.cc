@@ -14,12 +14,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // anonymous namespace
 
 void
@@ -28,22 +22,6 @@ Rng::reseed(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &s : state)
         s = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next64()
-{
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
 }
 
 std::uint64_t
@@ -58,12 +36,6 @@ Rng::nextBelow(std::uint64_t bound)
         x = next64();
     } while (x >= limit);
     return x % bound;
-}
-
-double
-Rng::nextDouble()
-{
-    return (next64() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t

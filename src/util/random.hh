@@ -28,13 +28,26 @@ class Rng
     void reseed(std::uint64_t seed);
 
     /** @return the next raw 64-bit output. */
-    std::uint64_t next64();
+    std::uint64_t next64()
+    {
+        const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
+        const std::uint64_t t = state[1] << 17;
+
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = rotl(state[3], 45);
+
+        return result;
+    }
 
     /** @return a uniformly distributed integer in [0, bound). */
     std::uint64_t nextBelow(std::uint64_t bound);
 
     /** @return a uniformly distributed double in [0, 1). */
-    double nextDouble();
+    double nextDouble() { return (next64() >> 11) * 0x1.0p-53; }
 
     /** @return a double in [lo, hi). */
     double nextRange(double lo, double hi)
@@ -46,6 +59,11 @@ class Rng
     bool nextBool(double p) { return nextDouble() < p; }
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t state[4];
 };
 

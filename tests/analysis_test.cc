@@ -157,6 +157,17 @@ struct TableIIIRow
     std::string semiring;
 };
 
+// Without this gtest prints the row as a byte dump, which embeds the
+// strings' heap addresses and so renames the ctest cases on every
+// discovery.
+void
+PrintTo(const TableIIIRow &row, std::ostream *os)
+{
+    *os << row.app
+        << (row.cross_iteration ? "/cross-iter/" : "/no-cross-iter/")
+        << row.semiring;
+}
+
 class TableIII : public ::testing::TestWithParam<TableIIIRow>
 {
 };

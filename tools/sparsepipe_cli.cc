@@ -576,7 +576,7 @@ main(int argc, char **argv)
         if (raw.rows() != raw.cols())
             sp_fatal("sparsepipe_cli: need a square operand");
         external = api::prepareCase(
-            opt.app, api::reorderMatrix(std::move(raw), reorder));
+            opt.app, api::reorderMatrix(raw, reorder));
         pc = &external;
     } else {
         req.dataset = opt.dataset.empty() ? "ca" : opt.dataset;
