@@ -1,17 +1,13 @@
 /**
  * @file
- * Host-side wall-clock microbenchmarks for the span-batched pass
- * engine and the Session pipeline, emitting a BENCH_4.json
- * trajectory document.
+ * Host-side wall-clock microbenchmarks for the pass engine and the
+ * Session pipeline, emitting a BENCH_4.json document.
  *
  * Unlike the figure/table benches (which report *modelled*
  * accelerator cycles), this bench times the simulator itself: fused
- * passes with the compressed-span fast path on and off, bucket slab
- * construction, and cold-vs-cached Session preprocessing.  The JSON
- * also records the measured wall-clock of the two gate benches
- * (bench_table1_footprint, bench_fig14_speedup_ideal) at each
- * optimization stage of the engine-overhaul PR, so future PRs can
- * see the perf curve they must not regress.  Nightly CI uploads the
+ * passes over one bucketing, bucket slab construction, and
+ * cold-vs-cached Session preprocessing.  Every number in the JSON is
+ * measured by this run (best of --reps).  Nightly CI uploads the
  * file as an artifact.
  */
 
@@ -56,16 +52,9 @@ bestMs(int reps, Fn &&body)
     return best;
 }
 
-struct EngineTimes
-{
-    double span_ms = 0.0;
-    double element_ms = 0.0;
-    Tick cycles_span = 0;
-    Tick cycles_element = 0;
-};
-
-/** Time `passes` fused passes over one bucketing, both engine modes. */
-EngineTimes
+/** Best-of-reps wall-clock of `passes` fused passes over one
+ *  bucketing. */
+double
 timeFusedPasses(int reps, Idx passes)
 {
     Rng rng(0x4e6);
@@ -73,45 +62,24 @@ timeFusedPasses(int reps, Idx passes)
     CooMatrix raw = generateRmat(n, n * 8, rng);
     const CscMatrix csc = CscMatrix::fromCoo(raw);
 
-    EngineTimes out;
-    for (int mode = 0; mode < 2; ++mode) {
-        SparsepipeConfig cfg;
-        cfg.span_batching = mode == 0;
-        const StepBuckets b = StepBuckets::build(
-            csc, cfg.resolveSubTensor(csc.cols(), csc.nnz()));
-        PassCosts costs;
-        costs.vector_read_bytes = static_cast<double>(n) * 8.0;
-        costs.vector_write_bytes = static_cast<double>(n) * 8.0;
-        costs.ewise_work = static_cast<double>(n);
+    const SparsepipeConfig cfg;
+    const StepBuckets b = StepBuckets::build(
+        csc, cfg.resolveSubTensor(csc.cols(), csc.nnz()));
+    PassCosts costs;
+    costs.vector_read_bytes = static_cast<double>(n) * 8.0;
+    costs.vector_write_bytes = static_cast<double>(n) * 8.0;
+    costs.ewise_work = static_cast<double>(n);
 
-        Tick cycles = 0;
-        const double ms = bestMs(reps, [&] {
-            EventQueue eq;
-            DramModel dram(cfg.dram);
-            PassEngine engine(cfg, dram, eq);
-            Tick t = 0;
-            for (Idx p = 0; p < passes; ++p) {
-                DualBufferModel buffer(cfg.buffer_bytes, 12,
-                                       b.bands());
-                t = engine
-                        .runFused(b, buffer, costs, t)
-                        .end;
-            }
-            cycles = t;
-        });
-        if (mode == 0) {
-            out.span_ms = ms;
-            out.cycles_span = cycles;
-        } else {
-            out.element_ms = ms;
-            out.cycles_element = cycles;
+    return bestMs(reps, [&] {
+        EventQueue eq;
+        DramModel dram(cfg.dram);
+        PassEngine engine(cfg, dram, eq);
+        Tick t = 0;
+        for (Idx p = 0; p < passes; ++p) {
+            DualBufferModel buffer(cfg.buffer_bytes, 12, b.bands());
+            t = engine.runFused(b, buffer, costs, t).end;
         }
-    }
-    if (out.cycles_span != out.cycles_element)
-        sp_fatal("span/element engines disagree: %lld vs %lld cycles",
-                 static_cast<long long>(out.cycles_span),
-                 static_cast<long long>(out.cycles_element));
-    return out;
+    });
 }
 
 } // anonymous namespace
@@ -136,8 +104,8 @@ main(int argc, char **argv)
         }
     }
 
-    // ---- pass engine: span fast path vs dense element scan --------
-    const EngineTimes engine = timeFusedPasses(reps, 24);
+    // ---- pass engine: fused passes over one bucketing -------------
+    const double engine_ms = timeFusedPasses(reps, 24);
 
     // ---- bucket slab construction ---------------------------------
     Rng rng(0x517);
@@ -163,10 +131,7 @@ main(int argc, char **argv)
     const double run_cached_ms =
         bestMs(reps, [&] { session.run(req).value(); });
 
-    std::printf("engine fused x24   : span %.2f ms, element %.2f ms "
-                "(%.2fx)\n",
-                engine.span_ms, engine.element_ms,
-                engine.element_ms / engine.span_ms);
+    std::printf("engine fused x24   : %.2f ms\n", engine_ms);
     std::printf("bucket slab build  : %.2f ms\n", buckets_ms);
     std::printf("session prepare    : cold %.2f ms, cached run "
                 "%.2f ms\n",
@@ -178,43 +143,13 @@ main(int argc, char **argv)
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"bench_micro_engine\",\n");
     std::fprintf(f, "  \"schema\": \"bench-trajectory-v1\",\n");
-    // Gate-bench wall-clock (--jobs 1, best of 3) measured on the
-    // PR-4 development machine at each optimization stage.
-    std::fprintf(f, "  \"recorded_trajectory\": [\n");
-    std::fprintf(f,
-                 "    {\"stage\": \"pr3_seed\", "
-                 "\"bench_table1_footprint_ms\": 1230, "
-                 "\"bench_fig14_speedup_ideal_ms\": 34400},\n");
-    std::fprintf(f,
-                 "    {\"stage\": \"inline_semiring\", "
-                 "\"bench_table1_footprint_ms\": 860, "
-                 "\"bench_fig14_speedup_ideal_ms\": 19900},\n");
-    std::fprintf(f,
-                 "    {\"stage\": \"session_cache\", "
-                 "\"bench_table1_footprint_ms\": 820, "
-                 "\"bench_fig14_speedup_ideal_ms\": 15200},\n");
-    std::fprintf(f,
-                 "    {\"stage\": \"counting_sorts\", "
-                 "\"bench_table1_footprint_ms\": 652, "
-                 "\"bench_fig14_speedup_ideal_ms\": 15200},\n");
-    std::fprintf(f,
-                 "    {\"stage\": \"span_engine\", "
-                 "\"bench_table1_footprint_ms\": 575, "
-                 "\"bench_fig14_speedup_ideal_ms\": 11000}\n");
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"gate_speedup_vs_seed\": "
-                    "{\"bench_table1_footprint\": 2.14, "
-                    "\"bench_fig14_speedup_ideal\": 3.13},\n");
     std::fprintf(f, "  \"measured\": {\n");
     std::fprintf(f,
                  "    \"engine.fused_pass24.span_ms\": %.3f,\n"
-                 "    \"engine.fused_pass24.element_ms\": %.3f,\n"
-                 "    \"engine.fused_pass24.span_speedup\": %.3f,\n"
                  "    \"buckets.build_ms\": %.3f,\n"
                  "    \"session.prepare_cold_ms\": %.3f,\n"
                  "    \"session.run_cached_ms\": %.3f\n",
-                 engine.span_ms, engine.element_ms,
-                 engine.element_ms / engine.span_ms, buckets_ms,
+                 engine_ms, buckets_ms,
                  prepare_cold_ms, run_cached_ms);
     std::fprintf(f, "  }\n}\n");
     std::fclose(f);

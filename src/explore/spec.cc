@@ -91,11 +91,6 @@ axisRegistry()
          [](const std::string &v, api::RunRequest &req) {
              req.blocked = v == "1";
          }},
-        {"span_batching", AxisType::Bool, {}, 0, 1,
-         "1",
-         [](const std::string &v, api::RunRequest &req) {
-             req.sp.span_batching = v == "1";
-         }},
         {"lanes", AxisType::Int, {}, 0, 8,
          "0",
          [](const std::string &v, api::RunRequest &req) {

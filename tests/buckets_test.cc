@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "core/buckets.hh"
 #include "test_helpers.hh"
 
@@ -69,6 +74,107 @@ TEST(StepBuckets, BandLoadedThroughIsPrefix)
         EXPECT_EQ(b.bandLoadedThrough(-1, rs), 0);
         EXPECT_EQ(b.bandNnz(rs), acc);
     }
+}
+
+/** (index, count) pairs, comparable with EXPECT_EQ. */
+std::vector<std::pair<Idx, Idx>>
+pairsOf(std::span<const BucketSpan> spans)
+{
+    std::vector<std::pair<Idx, Idx>> out;
+    for (const BucketSpan &sp : spans)
+        out.emplace_back(sp.at, sp.cnt);
+    return out;
+}
+
+/**
+ * Dense-scan oracle for what the pass engine reads.  Its Load stage
+ * splits column step cs at the unlock frontier: colLoadedThrough()
+ * for the unlocked bands, then the colSpans() suffix past the
+ * frontier for the locked ones.  Its IS stage walks bandSpans().
+ * Both must agree with scanning count() over the whole grid.
+ */
+void
+expectSpansMatchDenseScan(const StepBuckets &b)
+{
+    for (Idx cs = 0; cs < b.steps(); ++cs) {
+        for (Idx unlocked = -2; unlocked <= b.bands() + 1; ++unlocked) {
+            Idx dense_unlocked = 0;
+            std::vector<std::pair<Idx, Idx>> dense_locked;
+            for (Idx rs = 0; rs < b.bands(); ++rs) {
+                const Idx cnt = b.count(cs, rs);
+                if (cnt == 0)
+                    continue;
+                if (rs <= unlocked)
+                    dense_unlocked += cnt;
+                else
+                    dense_locked.emplace_back(rs, cnt);
+            }
+            const auto spans = b.colSpans(cs);
+            const auto suffix = std::upper_bound(
+                spans.begin(), spans.end(), unlocked,
+                [](Idx v, const BucketSpan &sp) { return v < sp.at; });
+            EXPECT_EQ(b.colLoadedThrough(cs, unlocked), dense_unlocked)
+                << "cs=" << cs << " unlocked=" << unlocked;
+            EXPECT_EQ(pairsOf({suffix, spans.end()}), dense_locked)
+                << "cs=" << cs << " unlocked=" << unlocked;
+        }
+    }
+    for (Idx rs = 0; rs < b.bands(); ++rs) {
+        std::vector<std::pair<Idx, Idx>> dense;
+        for (Idx cs = 0; cs < b.steps(); ++cs)
+            if (b.count(cs, rs) != 0)
+                dense.emplace_back(cs, b.count(cs, rs));
+        EXPECT_EQ(pairsOf(b.bandSpans(rs)), dense) << "rs=" << rs;
+    }
+}
+
+/** Runs the oracle on both bucketings of `m`; returns the forward
+ *  one for shape checks. */
+StepBuckets
+checkedBuckets(const char *label, const CooMatrix &m, Idx t)
+{
+    SCOPED_TRACE(label);
+    StepBuckets fwd = StepBuckets::build(CscMatrix::fromCoo(m), t);
+    expectSpansMatchDenseScan(fwd);
+    expectSpansMatchDenseScan(
+        StepBuckets::buildTransposed(CsrMatrix::fromCoo(m), t));
+    return fwd;
+}
+
+TEST(StepBuckets, SpansMatchDenseScanOracle)
+{
+    checkedBuckets("square", testing::smallRmat(100, 900, 7), 16);
+
+    // Rows != cols, both ways round.
+    Rng rng(21);
+    CooMatrix tall(90, 35);
+    CooMatrix wide(35, 90);
+    for (int k = 0; k < 400; ++k) {
+        const Idx r = static_cast<Idx>(rng.nextBelow(90));
+        const Idx c = static_cast<Idx>(rng.nextBelow(35));
+        tall.add(r, c, 1.0);
+        wide.add(c, r, 1.0);
+    }
+    checkedBuckets("tall", tall, 8);
+    checkedBuckets("wide", wide, 8);
+
+    // Rows and columns 16..47 hold nothing: whole bands and column
+    // steps are empty.
+    CooMatrix holes(64, 64);
+    for (int k = 0; k < 300; ++k) {
+        const Idx r = static_cast<Idx>(rng.nextBelow(32));
+        const Idx c = static_cast<Idx>(rng.nextBelow(32));
+        holes.add(r < 16 ? r : r + 32, c < 16 ? c : c + 32, 1.0);
+    }
+    const StepBuckets holey = checkedBuckets("empty bands", holes, 8);
+    EXPECT_EQ(holey.bandNnz(3), 0);
+    EXPECT_EQ(holey.colStepNnz(3), 0);
+
+    // One sub-tensor covers every column: a single step.
+    EXPECT_EQ(checkedBuckets("single step",
+                             testing::smallGraph(50, 300, 5), 64)
+                  .steps(),
+              1);
 }
 
 /** Brute-force residency: elements loaded (cs <= j) in bands not

@@ -2,11 +2,12 @@
  * @file
  * Engine equivalence matrix.
  *
- * Every "pure implementation strategy" flag of the simulator must be
+ * Every "pure implementation strategy" of the simulator must be
  * bit-identical to the reference element path it replaces:
  *
- *  - SparsepipeConfig::span_batching — the pass engine's compressed
- *    bucket-span scan vs the dense (step, band) grid;
+ *  - the pass engine's compressed bucket-span scan vs the dense
+ *    (step, band) grid scan it replaced, pinned by
+ *    tests/golden/span_engine_stats.golden;
  *  - SparsepipeConfig::lanes — the packed-SIMD semiring kernels at
  *    every lane width, including tail-odd widths;
  *  - SparsepipeConfig::band_threads — stepping independent column
@@ -36,9 +37,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -331,48 +336,81 @@ INSTANTIATE_TEST_SUITE_P(Semirings, SemiringCell,
                                             ::testing::Range(0, 6)),
                          semiringCellName);
 
-// ---- span batching (the original equivalence flag) ----------------
+// ---- span engine golden (the element-scan oracle, recorded) ------
 
-obs::MetricsRegistry
-runSpanOnce(const std::string &app, const api::PreparedCase &pc,
-            bool span_batching)
+/** metrics-v1 entries plus the raw bandwidth timeline of one
+ *  default-config Session run. */
+std::map<std::string, double>
+runSpanOnce(const std::string &app, const api::PreparedCase &pc)
 {
     api::Session session;
     api::RunRequest req;
     req.app = app;
     req.dataset = "span-eq";
     req.iters = 6;
-    req.sp.span_batching = span_batching;
     const api::RunReport report = session.run(req, pc).value();
     obs::MetricsRegistry reg;
     recordSimMetrics(reg, "sim", report.stats);
     for (std::size_t i = 0; i < report.stats.bw_timeline.size(); ++i)
         reg.set("raw_timeline." + std::to_string(i),
                 report.stats.bw_timeline[i]);
-    return reg;
+    return reg.entries();
 }
 
+/** @return golden "app shape" -> metrics, read once. */
+const std::map<std::string, std::map<std::string, double>> &
+spanGolden()
+{
+    static const auto table = [] {
+        std::map<std::string, std::map<std::string, double>> t;
+        std::ifstream in(SPARSEPIPE_SPAN_ENGINE_GOLDEN);
+        std::string line;
+        while (std::getline(in, line)) {
+            std::istringstream fields(line);
+            std::string app, shape, key, value;
+            if (fields >> app >> shape >> key >> value)
+                t[app + " " + shape][key] =
+                    std::strtod(value.c_str(), nullptr);
+        }
+        return t;
+    }();
+    return table;
+}
+
+/**
+ * The pass engine walks compressed bucket spans; the dense
+ * (step, band) element scan it replaced survives as this golden,
+ * recorded from both engines (which agreed on every entry) and
+ * compared at rtol 0.  Regenerate after an intended model change:
+ *   SPARSEPIPE_PRINT_SPAN_GOLDEN=1 ./build/tests/span_engine_test \
+ *       --gtest_filter='SpanEngine.*' \
+ *       | sed -n 's/^golden: //p' > tests/golden/span_engine_stats.golden
+ */
 TEST(SpanEngine, MatchesElementScanAcrossAppsAndShapes)
 {
+    const bool print = std::getenv("SPARSEPIPE_PRINT_SPAN_GOLDEN");
     for (const char *app : kApps) {
         for (int shape = 0; shape < 6; ++shape) {
             const api::PreparedCase pc = api::prepareCase(
                 app, shapeMatrix(shape, 192, 1536));
-            const obs::MetricsRegistry with =
-                runSpanOnce(app, pc, true);
-            const obs::MetricsRegistry without =
-                runSpanOnce(app, pc, false);
-            EXPECT_EQ(with.entries(), without.entries())
-                << "span/element divergence for app=" << app
-                << " shape=" << kShapes[shape];
+            const std::map<std::string, double> got =
+                runSpanOnce(app, pc);
+            const std::string cell =
+                std::string(app) + " " + kShapes[shape];
+            if (print) {
+                for (const auto &[key, value] : got)
+                    std::printf("golden: %s %s %.17g\n", cell.c_str(),
+                                key.c_str(), value);
+                continue;
+            }
+            const auto it = spanGolden().find(cell);
+            ASSERT_NE(it, spanGolden().end())
+                << cell << " missing from "
+                << SPARSEPIPE_SPAN_ENGINE_GOLDEN;
+            EXPECT_EQ(got, it->second)
+                << "span engine diverged from the golden for " << cell;
         }
     }
-}
-
-TEST(SpanEngine, SpanFlagDefaultsOn)
-{
-    EXPECT_TRUE(SparsepipeConfig{}.span_batching);
-    EXPECT_TRUE(SparsepipeConfig::isoCpu().span_batching);
 }
 
 } // anonymous namespace
