@@ -117,6 +117,7 @@ Session::bindWorkspace(const PreparedCase &pc)
 {
     Workspace ws(pc.app.program);
     ws.bindMatrix(pc.app.matrix, pc.csr, pc.csc);
+    ws.setBucketMemo(pc.buckets);
     pc.app.init(ws);
     return ws;
 }

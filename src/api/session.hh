@@ -34,8 +34,9 @@
  * Thread safety: a Session may be shared by concurrent callers.  The
  * caches serialize construction per key (KeyedCache), every run gets
  * its own Workspace + SparsepipeSim, and a PreparedCase is read-only
- * after construction (bindWorkspace copies the operand vectors into
- * the run's private workspace).
+ * after construction: bindWorkspace shares its immutable operand
+ * storage with the run's workspace, and its bucket memo is
+ * mutex-guarded.
  */
 
 #ifndef SPARSEPIPE_API_SESSION_HH
@@ -48,6 +49,7 @@
 
 #include "apps/apps.hh"
 #include "backend/backend.hh"
+#include "core/buckets.hh"
 #include "core/sparsepipe_sim.hh"
 #include "prep/reorder.hh"
 #include "runner/keyed_cache.hh"
@@ -115,12 +117,20 @@ struct PreparedCase
 {
     /** Program + operand handles + init (shared, stateless). */
     AppInstance app;
-    /** App-prepared operand in both compressed forms. */
+    /** App-prepared operand in both compressed forms (shared,
+     *  immutable storage: copies and binds alias these arrays). */
     CsrMatrix csr;
     CscMatrix csc;
     /** Per-nonzero footprint of the blocked dual storage. */
     double blocked_bytes_per_nz = 12.0;
     Idx nnz = 0;
+    /**
+     * The operand's bucket decomposition, built by the first run
+     * and reused by later ones (one slot; see BucketMemo).  Copies
+     * of the case share it.
+     */
+    std::shared_ptr<BucketMemo> buckets =
+        std::make_shared<BucketMemo>();
 };
 
 /** Result of Session::run. */
@@ -209,7 +219,8 @@ class Session
 
     /**
      * Build a workspace for a prepared case: allocate, bind the
-     * cached CSR/CSC pair (no transpose), run the app's init.
+     * cached CSR/CSC pair (shared storage: no copy, no transpose)
+     * and the case's bucket memo, run the app's init.
      */
     static Workspace bindWorkspace(const PreparedCase &pc);
 

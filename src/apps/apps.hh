@@ -50,7 +50,7 @@ struct AppInstance
      * (row-stochastic for pr, boolean for bfs/knn, SPD for the
      * solvers, ...).
      */
-    std::function<CsrMatrix(CooMatrix)> prepare;
+    std::function<CsrMatrix(const CooMatrix &)> prepare;
 
     /** Initialise workspace state (source vertex, seeds, ...). */
     std::function<void(Workspace &)> init;
@@ -109,13 +109,13 @@ AppInstance makeBgs(Idx n);
  */
 
 /** All stored values become 1.0 (boolean adjacency). */
-CsrMatrix prepareBoolean(CooMatrix m);
+CsrMatrix prepareBoolean(const CooMatrix &m);
 
 /** Row-stochastic transition matrix (PageRank / label prop). */
-CsrMatrix prepareStochastic(CooMatrix m);
+CsrMatrix prepareStochastic(const CooMatrix &m);
 
 /** Positive weights kept as generated (sssp / kpp distances). */
-CsrMatrix prepareWeighted(CooMatrix m);
+CsrMatrix prepareWeighted(const CooMatrix &m);
 
 /**
  * Symmetrise and make strictly diagonally dominant: the SPD system
@@ -124,7 +124,7 @@ CsrMatrix prepareWeighted(CooMatrix m);
  * ignored); b_ii = 1 + sum_j |b_ij|.  The input is canonicalized
  * first, so duplicate triplets merge before they are halved.
  */
-CsrMatrix prepareSpd(CooMatrix m);
+CsrMatrix prepareSpd(const CooMatrix &m);
 
 } // namespace sparsepipe
 

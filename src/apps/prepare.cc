@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "sparse/generate.hh"
 #include "util/logging.hh"
 
 namespace sparsepipe {
@@ -24,38 +23,67 @@ resolveSource(const CsrMatrix &matrix, Idx source)
     return best;
 }
 
+namespace {
+
+/**
+ * Rewrite every stored value through `f`, then compress.  A clean
+ * input (CooMatrix::isClean, the normal case: generators, reorders
+ * and readers all canonicalize) is compressed in place with the
+ * rewrite applied on the way.  Any other input is copied, rewritten
+ * and canonicalized in that order, since a rewrite ahead of the
+ * duplicate merge changes the merged sums.
+ */
+template <typename F>
 CsrMatrix
-prepareBoolean(CooMatrix m)
+rewriteThenCompress(const CooMatrix &m, F f)
 {
-    for (Triplet &t : m.entries())
-        t.val = 1.0;
-    return CsrMatrix::fromCoo(std::move(m));
+    if (m.isClean())
+        return CsrMatrix::fromCleanCoo(
+            m, [&f](Value v, Idx) { return f(v); });
+    CooMatrix copy = m;
+    for (Triplet &t : copy.entries())
+        t.val = f(t.val);
+    return CsrMatrix::fromCoo(std::move(copy));
+}
+
+} // anonymous namespace
+
+CsrMatrix
+prepareBoolean(const CooMatrix &m)
+{
+    return rewriteThenCompress(m, [](Value) { return 1.0; });
 }
 
 CsrMatrix
-prepareStochastic(CooMatrix m)
+prepareStochastic(const CooMatrix &m)
 {
-    return CsrMatrix::fromCoo(rowStochastic(std::move(m)));
+    // The values depend only on the canonical row lengths, so a
+    // dirty input is canonicalized in a copy and then rewritten.
+    const auto stochastic = [](Value, Idx row_nnz) {
+        return 1.0 / static_cast<Value>(row_nnz);
+    };
+    if (m.isClean())
+        return CsrMatrix::fromCleanCoo(m, stochastic);
+    CooMatrix copy = m;
+    copy.canonicalize();
+    return CsrMatrix::fromCleanCoo(copy, stochastic);
 }
 
 CsrMatrix
-prepareWeighted(CooMatrix m)
+prepareWeighted(const CooMatrix &m)
 {
-    for (Triplet &t : m.entries()) {
-        if (t.val <= 0.0)
-            t.val = 0.1;
-    }
-    return CsrMatrix::fromCoo(std::move(m));
+    return rewriteThenCompress(
+        m, [](Value v) { return v <= 0.0 ? 0.1 : v; });
 }
 
 CsrMatrix
-prepareSpd(CooMatrix m)
+prepareSpd(const CooMatrix &m)
 {
     if (m.rows() != m.cols())
         sp_panic("prepareSpd: matrix must be square");
     // Row i of B merges row i of A with row i of A^T (column i of A,
     // the CSC twin) in one ascending-column pass.
-    const CsrMatrix a = CsrMatrix::fromCoo(std::move(m));
+    const CsrMatrix a = CsrMatrix::fromCoo(m);
     const CscMatrix at = CscMatrix::fromCsr(a);
     const Idx n = a.rows();
     CooMatrix b(n, n);

@@ -7,13 +7,18 @@
  * becomes consumable by the IS core once row-band i / T unlocks
  * (lag steps after the OS core produced that band's e-wise inputs).
  * All per-step loader / compute / buffer quantities reduce to the
- * counts b[col_step][row_band], which this structure precomputes in
- * one pass over the matrix.
+ * counts b[col_step][row_band].  This structure keeps only the
+ * occupied buckets, as two span slabs (one per axis), plus the
+ * per-step and per-band totals, so its size follows the occupied
+ * buckets rather than steps x bands.
  */
 
 #ifndef SPARSEPIPE_CORE_BUCKETS_HH
 #define SPARSEPIPE_CORE_BUCKETS_HH
 
+#include <cstddef>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -23,9 +28,8 @@ namespace sparsepipe {
 
 /**
  * One contiguous run of non-zeros in a bucket: `cnt` elements at
- * band (or column-step) index `at`.  The span slabs below compress
- * the dense counts grid down to its occupied buckets so hot loops
- * touch only non-zero work.
+ * band (or column-step) index `at`.  The span slabs below list only
+ * the occupied buckets, so hot loops touch only non-zero work.
  */
 struct BucketSpan
 {
@@ -60,12 +64,6 @@ class StepBuckets
         return col_step_nnz_[static_cast<std::size_t>(cs)];
     }
 
-    /** Elements in (column-step cs, row-band rs). */
-    Idx count(Idx cs, Idx rs) const
-    {
-        return counts_[index(cs, rs)];
-    }
-
     /** Total elements in row-band rs across all column steps. */
     Idx bandNnz(Idx rs) const
     {
@@ -73,24 +71,9 @@ class StepBuckets
     }
 
     /**
-     * Elements of band rs in column steps <= cs (what is on chip
-     * for that band once the OS frontier reaches cs, absent
-     * eviction).
-     */
-    Idx bandLoadedThrough(Idx cs, Idx rs) const;
-
-    /**
-     * Elements of column-step cs in row bands <= rs.  This is the
-     * engine's analytic shortcut: the arrivals into already-unlocked
-     * bands at step cs are one prefix lookup instead of a band scan.
-     * rs < 0 returns 0; rs >= bands clamps to the full step.
-     */
-    Idx colLoadedThrough(Idx cs, Idx rs) const;
-
-    /**
      * Occupied buckets of column-step cs as (row band, count) spans
-     * in ascending band order.  Iterating this visits exactly the
-     * buckets the dense `count(cs, rs)` scan would find non-zero.
+     * in ascending band order: exactly the (cs, rs) cells of the
+     * dense counts grid that hold a non-zero.
      */
     std::span<const BucketSpan> colSpans(Idx cs) const
     {
@@ -115,33 +98,55 @@ class StepBuckets
     }
 
   private:
-    /** Build prefixes and span slabs from the filled counts grid. */
-    void finalizeDerived();
-
-    std::size_t index(Idx cs, Idx rs) const
-    {
-        return static_cast<std::size_t>(cs) *
-               static_cast<std::size_t>(bands_) +
-               static_cast<std::size_t>(rs);
-    }
+    /** Bucket compressed storage: majors are steps, minors bands. */
+    static StepBuckets fromCompressed(Idx majors, Idx minors,
+                                      const CompressedArrays &a,
+                                      Idx t);
 
     Idx t_ = 0;
     Idx steps_ = 0;
     Idx bands_ = 0;
     Idx nnz_ = 0;
-    std::vector<Idx> counts_;        ///< dense steps x bands grid
     std::vector<Idx> col_step_nnz_;
     std::vector<Idx> band_nnz_;
-    /** Per-band prefix over column steps (for residency queries). */
-    std::vector<Idx> band_prefix_;
-    /** Per-column-step prefix over row bands (unlock shortcut). */
-    std::vector<Idx> col_prefix_;
     /** Occupied buckets by column step (CSR-style slab). */
     std::vector<BucketSpan> col_slab_;
     std::vector<std::size_t> col_slab_ptr_;
     /** Occupied buckets by row band (CSC-style slab). */
     std::vector<BucketSpan> band_slab_;
     std::vector<std::size_t> band_slab_ptr_;
+};
+
+/**
+ * One-slot memo of an operand's bucket decomposition, keyed by
+ * (storage block, t, orientation).  A PreparedCase owns one and
+ * every run bound from it shares it (api::Session::bindWorkspace),
+ * so warm runs bucket the operand once; any other workspace gets a
+ * private memo on its first run.  Lookups hold the mutex, a miss
+ * builds under it, and the returned pointer keeps the buckets alive
+ * for the caller's run even if another key replaces the slot.
+ */
+class BucketMemo
+{
+  public:
+    /**
+     * @return the buckets of `csc` at sub-tensor size t, or of `csr`
+     * with roles swapped when `transposed` (SpMM).
+     */
+    std::shared_ptr<const StepBuckets> get(const CsrMatrix &csr,
+                                           const CscMatrix &csc, Idx t,
+                                           bool transposed);
+
+    /** The slot's current buckets (null before the first get). */
+    std::shared_ptr<const StepBuckets> current() const;
+
+  private:
+    mutable std::mutex mu_;
+    /** Pins the keyed block so its address cannot be reused. */
+    std::shared_ptr<const CompressedArrays> operand_;
+    Idx t_ = 0;
+    bool transposed_ = false;
+    std::shared_ptr<const StepBuckets> buckets_;
 };
 
 /**

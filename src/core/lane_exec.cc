@@ -101,6 +101,36 @@ laneSpmm(Workspace &ws, const OpNode &op, const ExecPolicy &policy)
     return true;
 }
 
+/**
+ * Dense Mm (gcn's feature transform) as one MulAdd row update per
+ * non-zero lhs(i, k), in the reference's k order and with its
+ * `== 0.0` skip (MulAdd annihilates exactly 0), so out(i, j) sums
+ * the same products in the same order.
+ */
+bool
+laneMm(Workspace &ws, const OpNode &op, const ExecPolicy &policy)
+{
+    const DenseMatrix &lhs = ws.den(op.inputs[0]);
+    const DenseMatrix &rhs = ws.den(op.inputs[1]);
+    constexpr Semiring mul_add(SemiringKind::MulAdd);
+
+    DenseMatrix out(lhs.rows(), rhs.cols(), 0.0);
+    forBands(policy, lhs.rows(), [&](Idx r0, Idx r1) {
+        for (Idx i = r0; i < r1; ++i) {
+            const Value *l_row = lhs.row(i);
+            Value *out_row = out.row(i);
+            for (Idx k = 0; k < lhs.cols(); ++k) {
+                if (mul_add.annihilates(l_row[k]))
+                    continue;
+                packed::spmmRow(mul_add, policy.lanes, l_row[k],
+                                rhs.row(k), out_row, rhs.cols());
+            }
+        }
+    });
+    ws.den(op.output) = std::move(out);
+    return true;
+}
+
 bool
 laneEwiseBinary(Workspace &ws, const OpNode &op,
                 const ExecPolicy &policy)
@@ -176,13 +206,15 @@ execOpLanes(Workspace &ws, const OpNode &op, const ExecPolicy &policy)
         return laneVxm(ws, op, policy);
       case OpKind::Spmm:
         return laneSpmm(ws, op, policy);
+      case OpKind::Mm:
+        return laneMm(ws, op, policy);
       case OpKind::EwiseBinary:
         return laneEwiseBinary(ws, op, policy);
       case OpKind::EwiseUnary:
         return laneEwiseUnary(ws, op, policy);
       default:
-        // Mm, Fold, Dot, Assign: scalar reductions keep one
-        // sequential chain; assigns are already a single copy.
+        // Fold, Dot, Assign: scalar reductions keep one sequential
+        // chain; assigns are already a single copy.
         return false;
     }
 }

@@ -373,20 +373,23 @@ struct PassEngine::Run
                 // were IS-consumed at prefetch time, so they do not
                 // arrive again here.
                 const Idx unlocked = j - cfg.lag;
-                // Unlocked bands form a prefix of the band axis:
-                // their arrivals are one prefix-sum lookup, and the
-                // locked remainder walks only the occupied buckets
-                // of this column step.
-                const double unlocked_arrivals = static_cast<double>(
-                    b.colLoadedThrough(j, unlocked));
+                // Unlocked bands form a prefix of the band axis: the
+                // walk covers only the occupied locked suffix of
+                // this column step, and the unlocked arrivals are
+                // the step's total minus what it retained.
                 const auto spans = b.colSpans(j);
                 auto it = std::upper_bound(
                     spans.begin(), spans.end(), unlocked,
                     [](Idx v, const BucketSpan &sp) {
                         return v < sp.at;
                     });
-                for (; it != spans.end(); ++it)
+                Idx locked = 0;
+                for (; it != spans.end(); ++it) {
                     buffer->addRowElems(it->at, it->cnt);
+                    locked += it->cnt;
+                }
+                const double unlocked_arrivals =
+                    static_cast<double>(nnz_j - locked);
                 is_arrival[static_cast<std::size_t>(j)] += std::max(
                     0.0, unlocked_arrivals -
                              static_cast<double>(pre));

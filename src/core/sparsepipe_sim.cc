@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -285,11 +286,16 @@ SparsepipeSim::run(Workspace &ws, Idx max_iters)
     }
 
     // --- bucket decomposition of the sparse operand -----------------
+    // Built once per (operand, t, orientation) and shared by every
+    // run bound from the same PreparedCase.
     const Idx t_cols = config_.resolveSubTensor(
         ws.csc(plan.matrix).cols(), ws.csc(plan.matrix).nnz());
-    const StepBuckets buckets = plan.spmm
-        ? StepBuckets::buildTransposed(ws.csr(plan.matrix), t_cols)
-        : StepBuckets::build(ws.csc(plan.matrix), t_cols);
+    if (!ws.bucketMemo())
+        ws.setBucketMemo(std::make_shared<BucketMemo>());
+    const std::shared_ptr<const StepBuckets> memoized =
+        ws.bucketMemo()->get(ws.csr(plan.matrix), ws.csc(plan.matrix),
+                             t_cols, plan.spmm);
+    const StepBuckets &buckets = *memoized;
     const Idx bytes_per_nz = static_cast<Idx>(
         std::ceil(config_.bytes_per_nz));
 

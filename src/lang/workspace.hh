@@ -8,12 +8,15 @@
  * bound by the caller.  Bound sparse matrices are kept in BOTH CSR
  * and CSC form — the host-side equivalent of Sparsepipe's dual
  * sparse storage, since the OS stage traverses columns and the IS
- * stage traverses rows of the same operand.
+ * stage traverses rows of the same operand.  Both forms are shared
+ * immutable values (sparse/csr.hh), so a bind copies no arrays.
  */
 
 #ifndef SPARSEPIPE_LANG_WORKSPACE_HH
 #define SPARSEPIPE_LANG_WORKSPACE_HH
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "graph/ir.hh"
@@ -21,6 +24,8 @@
 #include "sparse/dense.hh"
 
 namespace sparsepipe {
+
+class BucketMemo;
 
 /** Runtime storage for one Program execution. */
 class Workspace
@@ -60,6 +65,20 @@ class Workspace
     /** @return true once bindMatrix was called for this tensor. */
     bool matrixBound(TensorId id) const;
 
+    /**
+     * Bucket memo of the bound operand (core/buckets.hh).
+     * Session::bindWorkspace shares the PreparedCase's; otherwise it
+     * is null until the first simulated run installs a private one.
+     */
+    const std::shared_ptr<BucketMemo> &bucketMemo() const
+    {
+        return bucket_memo_;
+    }
+    void setBucketMemo(std::shared_ptr<BucketMemo> memo)
+    {
+        bucket_memo_ = std::move(memo);
+    }
+
     const Program &program() const { return *program_; }
 
   private:
@@ -73,6 +92,7 @@ class Workspace
     std::vector<CsrMatrix> csrs_;
     std::vector<CscMatrix> cscs_;
     std::vector<char> bound_;
+    std::shared_ptr<BucketMemo> bucket_memo_;
 };
 
 } // namespace sparsepipe

@@ -40,10 +40,11 @@ estimateResidentBytes(const std::string &dataset)
     const DatasetSpec *spec = findDatasetSpec(dataset);
     if (!spec)
         return 0;
-    // Prepared CSR + CSC twin (~12 B/nz each) plus the per-run
-    // workspace copy the bind makes (~24 B/nz) and row pointers.
-    return static_cast<std::uint64_t>(spec->nnz) * 48 +
-           static_cast<std::uint64_t>(spec->rows) * 32;
+    // Prepared CSR + CSC twin: ~12 B/nz each plus one 8 B pointer
+    // array each.  A run binds that storage shared (no per-run
+    // operand copy), so nothing more is charged for it.
+    return static_cast<std::uint64_t>(spec->nnz) * 24 +
+           static_cast<std::uint64_t>(spec->rows) * 16;
 }
 
 Server::Server(ServerConfig config)

@@ -206,9 +206,8 @@ class Server
 
 /**
  * Crude resident-bytes estimate for admitting a run on a built-in
- * dataset: the prepared operand (CSR + CSC twin) plus the workspace
- * copy a run binds.  Intentionally pessimistic — admission is a
- * budget, not an accountant.
+ * dataset: the prepared operand (CSR + CSC twin), which a run binds
+ * without copying.  A budget, not an accountant.
  */
 std::uint64_t estimateResidentBytes(const std::string &dataset);
 

@@ -7,72 +7,61 @@ namespace sparsepipe {
 namespace {
 
 /**
- * Build compressed pointers/indices from sorted triplets.
- * @param major    extent of the compressed dimension
- * @param entries  canonical triplets sorted by (major, minor)
- * @param majorOf  functor extracting the compressed coordinate
- * @param minorOf  functor extracting the in-run coordinate
- */
-template <typename MajorFn, typename MinorFn>
-void
-compress(Idx major, const std::vector<Triplet> &entries,
-         MajorFn majorOf, MinorFn minorOf,
-         std::vector<Idx> &ptr, std::vector<Idx> &idx,
-         std::vector<Value> &vals)
-{
-    ptr.assign(static_cast<std::size_t>(major) + 1, 0);
-    idx.clear();
-    vals.clear();
-    idx.reserve(entries.size());
-    vals.reserve(entries.size());
-
-    for (const Triplet &t : entries)
-        ++ptr[static_cast<std::size_t>(majorOf(t)) + 1];
-    for (std::size_t i = 1; i < ptr.size(); ++i)
-        ptr[i] += ptr[i - 1];
-    for (const Triplet &t : entries) {
-        idx.push_back(minorOf(t));
-        vals.push_back(t.val);
-    }
-}
-
-/**
  * Stable counting-sort transpose between the compressed layouts.
  * Walking the source majors in order keeps the destination's minor
  * indices ascending inside each run, so the result is canonical —
  * identical to the COO round-trip it replaces, without materializing
  * (and comparison-sorting) the triplet view.
  */
-void
+std::shared_ptr<const CompressedArrays>
 transposeCompressed(Idx src_major, Idx dst_major,
-                    const std::vector<Idx> &src_ptr,
-                    const std::vector<Idx> &src_idx,
-                    const std::vector<Value> &src_vals,
-                    std::vector<Idx> &dst_ptr,
-                    std::vector<Idx> &dst_idx,
-                    std::vector<Value> &dst_vals)
+                    const CompressedArrays &src)
 {
-    dst_ptr.assign(static_cast<std::size_t>(dst_major) + 1, 0);
-    dst_idx.resize(src_idx.size());
-    dst_vals.resize(src_vals.size());
-    for (Idx m : src_idx)
-        ++dst_ptr[static_cast<std::size_t>(m) + 1];
-    for (std::size_t i = 1; i < dst_ptr.size(); ++i)
-        dst_ptr[i] += dst_ptr[i - 1];
-    std::vector<Idx> cursor(dst_ptr.begin(), dst_ptr.end() - 1);
+    auto dst = std::make_shared<CompressedArrays>();
+    dst->ptr.assign(static_cast<std::size_t>(dst_major) + 1, 0);
+    dst->idx.resize(src.idx.size());
+    dst->vals.resize(src.vals.size());
+    for (Idx m : src.idx)
+        ++dst->ptr[static_cast<std::size_t>(m) + 1];
+    for (std::size_t i = 1; i < dst->ptr.size(); ++i)
+        dst->ptr[i] += dst->ptr[i - 1];
+    std::vector<Idx> cursor(dst->ptr.begin(), dst->ptr.end() - 1);
     for (Idx s = 0; s < src_major; ++s) {
-        for (Idx k = src_ptr[static_cast<std::size_t>(s)];
-             k < src_ptr[static_cast<std::size_t>(s) + 1]; ++k) {
+        for (Idx k = src.ptr[static_cast<std::size_t>(s)];
+             k < src.ptr[static_cast<std::size_t>(s) + 1]; ++k) {
             const auto d = static_cast<std::size_t>(
-                src_idx[static_cast<std::size_t>(k)]);
+                src.idx[static_cast<std::size_t>(k)]);
             const auto at = static_cast<std::size_t>(cursor[d]++);
-            dst_idx[at] = s;
-            dst_vals[at] = src_vals[static_cast<std::size_t>(k)];
+            dst->idx[at] = s;
+            dst->vals[at] = src.vals[static_cast<std::size_t>(k)];
         }
     }
+    return dst;
 }
 
+/** The one block every default-constructed matrix shares. */
+const std::shared_ptr<const CompressedArrays> &
+emptyArrays()
+{
+    static const std::shared_ptr<const CompressedArrays> empty =
+        std::make_shared<const CompressedArrays>();
+    return empty;
+}
+
+/** Same block, or equal contents. */
+bool
+sameArrays(const std::shared_ptr<const CompressedArrays> &a,
+           const std::shared_ptr<const CompressedArrays> &b)
+{
+    return a == b || *a == *b;
+}
+
+/** The identity value map for fromCleanCoo. */
+constexpr auto keepValue = [](Value v, Idx) { return v; };
+
 } // anonymous namespace
+
+CsrMatrix::CsrMatrix() : s_(emptyArrays()) {}
 
 CsrMatrix
 CsrMatrix::fromCoo(const CooMatrix &coo)
@@ -80,7 +69,7 @@ CsrMatrix::fromCoo(const CooMatrix &coo)
     // A clean matrix compresses as is; anything else is canonicalized
     // in a copy, leaving the caller's matrix untouched.
     if (coo.isClean())
-        return fromCanonical(coo);
+        return fromCleanCoo(coo, keepValue);
     return fromCoo(CooMatrix(coo));
 }
 
@@ -88,32 +77,22 @@ CsrMatrix
 CsrMatrix::fromCoo(CooMatrix &&coo)
 {
     coo.canonicalize();
-    return fromCanonical(coo);
-}
-
-CsrMatrix
-CsrMatrix::fromCanonical(const CooMatrix &coo)
-{
-    CsrMatrix out;
-    out.rows_ = coo.rows();
-    out.cols_ = coo.cols();
-    compress(coo.rows(), coo.entries(),
-             [](const Triplet &t) { return t.row; },
-             [](const Triplet &t) { return t.col; },
-             out.rowPtr_, out.colIdx_, out.vals_);
-    return out;
+    return fromCleanCoo(coo, keepValue);
 }
 
 CsrMatrix
 CsrMatrix::fromCsc(const CscMatrix &csc)
 {
-    CsrMatrix out;
-    out.rows_ = csc.rows();
-    out.cols_ = csc.cols();
-    transposeCompressed(csc.cols(), csc.rows(), csc.colPtr_,
-                        csc.rowIdx_, csc.vals_, out.rowPtr_,
-                        out.colIdx_, out.vals_);
-    return out;
+    return CsrMatrix(csc.rows(), csc.cols(),
+                     transposeCompressed(csc.cols(), csc.rows(),
+                                         *csc.storage()));
+}
+
+bool
+CsrMatrix::operator==(const CsrMatrix &other) const
+{
+    return rows_ == other.rows_ && cols_ == other.cols_ &&
+           sameArrays(s_, other.s_);
 }
 
 CooMatrix
@@ -132,19 +111,20 @@ CsrMatrix::toCoo() const
 bool
 CsrMatrix::validate() const
 {
-    if (static_cast<Idx>(rowPtr_.size()) != rows_ + 1)
+    const std::vector<Idx> &ptr = s_->ptr;
+    if (static_cast<Idx>(ptr.size()) != rows_ + 1)
         return false;
-    if (rowPtr_.front() != 0 ||
-        rowPtr_.back() != static_cast<Idx>(vals_.size()))
+    if (ptr.front() != 0 ||
+        ptr.back() != static_cast<Idx>(s_->vals.size()))
         return false;
-    if (colIdx_.size() != vals_.size())
+    if (s_->idx.size() != s_->vals.size())
         return false;
     for (Idx r = 0; r < rows_; ++r) {
-        if (rowPtr_[r] > rowPtr_[r + 1])
+        if (ptr[r] > ptr[r + 1])
             return false;
         Idx prev = -1;
-        for (Idx k = rowPtr_[r]; k < rowPtr_[r + 1]; ++k) {
-            Idx c = colIdx_[k];
+        for (Idx k = ptr[r]; k < ptr[r + 1]; ++k) {
+            Idx c = s_->idx[k];
             if (c < 0 || c >= cols_ || c <= prev)
                 return false;
             prev = c;
@@ -153,6 +133,8 @@ CsrMatrix::validate() const
     return true;
 }
 
+CscMatrix::CscMatrix() : s_(emptyArrays()) {}
+
 CscMatrix
 CscMatrix::fromCoo(CooMatrix coo)
 {
@@ -160,38 +142,38 @@ CscMatrix::fromCoo(CooMatrix coo)
     // The entries are now row-major canonical; a stable counting
     // sort by column lands them in (col, row) order without the
     // comparison sort the old sortColMajor() path paid.
-    CscMatrix out;
-    out.rows_ = coo.rows();
-    out.cols_ = coo.cols();
+    auto s = std::make_shared<CompressedArrays>();
     const auto &entries = coo.entries();
-    out.colPtr_.assign(static_cast<std::size_t>(coo.cols()) + 1, 0);
-    out.rowIdx_.resize(entries.size());
-    out.vals_.resize(entries.size());
+    s->ptr.assign(static_cast<std::size_t>(coo.cols()) + 1, 0);
+    s->idx.resize(entries.size());
+    s->vals.resize(entries.size());
     for (const Triplet &t : entries)
-        ++out.colPtr_[static_cast<std::size_t>(t.col) + 1];
-    for (std::size_t i = 1; i < out.colPtr_.size(); ++i)
-        out.colPtr_[i] += out.colPtr_[i - 1];
-    std::vector<Idx> cursor(out.colPtr_.begin(),
-                            out.colPtr_.end() - 1);
+        ++s->ptr[static_cast<std::size_t>(t.col) + 1];
+    for (std::size_t i = 1; i < s->ptr.size(); ++i)
+        s->ptr[i] += s->ptr[i - 1];
+    std::vector<Idx> cursor(s->ptr.begin(), s->ptr.end() - 1);
     for (const Triplet &t : entries) {
         const auto at = static_cast<std::size_t>(
             cursor[static_cast<std::size_t>(t.col)]++);
-        out.rowIdx_[at] = t.row;
-        out.vals_[at] = t.val;
+        s->idx[at] = t.row;
+        s->vals[at] = t.val;
     }
-    return out;
+    return CscMatrix(coo.rows(), coo.cols(), std::move(s));
 }
 
 CscMatrix
 CscMatrix::fromCsr(const CsrMatrix &csr)
 {
-    CscMatrix out;
-    out.rows_ = csr.rows();
-    out.cols_ = csr.cols();
-    transposeCompressed(csr.rows(), csr.cols(), csr.rowPtr_,
-                        csr.colIdx_, csr.vals_, out.colPtr_,
-                        out.rowIdx_, out.vals_);
-    return out;
+    return CscMatrix(csr.rows(), csr.cols(),
+                     transposeCompressed(csr.rows(), csr.cols(),
+                                         *csr.storage()));
+}
+
+bool
+CscMatrix::operator==(const CscMatrix &other) const
+{
+    return rows_ == other.rows_ && cols_ == other.cols_ &&
+           sameArrays(s_, other.s_);
 }
 
 CooMatrix
@@ -211,19 +193,20 @@ CscMatrix::toCoo() const
 bool
 CscMatrix::validate() const
 {
-    if (static_cast<Idx>(colPtr_.size()) != cols_ + 1)
+    const std::vector<Idx> &ptr = s_->ptr;
+    if (static_cast<Idx>(ptr.size()) != cols_ + 1)
         return false;
-    if (colPtr_.front() != 0 ||
-        colPtr_.back() != static_cast<Idx>(vals_.size()))
+    if (ptr.front() != 0 ||
+        ptr.back() != static_cast<Idx>(s_->vals.size()))
         return false;
-    if (rowIdx_.size() != vals_.size())
+    if (s_->idx.size() != s_->vals.size())
         return false;
     for (Idx c = 0; c < cols_; ++c) {
-        if (colPtr_[c] > colPtr_[c + 1])
+        if (ptr[c] > ptr[c + 1])
             return false;
         Idx prev = -1;
-        for (Idx k = colPtr_[c]; k < colPtr_[c + 1]; ++k) {
-            Idx r = rowIdx_[k];
+        for (Idx k = ptr[c]; k < ptr[c + 1]; ++k) {
+            Idx r = s_->idx[k];
             if (r < 0 || r >= rows_ || r <= prev)
                 return false;
             prev = r;

@@ -252,6 +252,104 @@ TEST(Session, BindWorkspaceBindsBothCompressedForms)
     EXPECT_EQ(csr.cols(), csc.cols());
 }
 
+TEST(Session, WarmRunsShareTheOperandStorage)
+{
+    // Zero-copy: every run's workspace aliases the PreparedCase's
+    // CSR/CSC arrays and its bucket memo, run after run.
+    api::Session session;
+    const api::PreparedCase &pc =
+        session.prepared("pr", "ca", ReorderKind::Vanilla);
+    api::RunRequest req;
+    req.app = "pr";
+    req.dataset = "ca";
+    req.iters = 2;
+    for (int run = 0; run < 2; ++run) {
+        ASSERT_TRUE(session.run(req, pc).ok());
+        const Workspace ws = api::Session::bindWorkspace(pc);
+        const CsrMatrix &csr = ws.csr(pc.app.matrix);
+        const CscMatrix &csc = ws.csc(pc.app.matrix);
+        EXPECT_EQ(csr.rowPtr().data(), pc.csr.rowPtr().data());
+        EXPECT_EQ(csr.colIdx().data(), pc.csr.colIdx().data());
+        EXPECT_EQ(csr.vals().data(), pc.csr.vals().data());
+        EXPECT_EQ(csc.colPtr().data(), pc.csc.colPtr().data());
+        EXPECT_EQ(csc.rowIdx().data(), pc.csc.rowIdx().data());
+        EXPECT_EQ(csc.vals().data(), pc.csc.vals().data());
+        EXPECT_EQ(ws.bucketMemo(), pc.buckets);
+    }
+}
+
+TEST(Session, BucketMemoBuildsOncePerOperandAndSubTensor)
+{
+    api::Session session;
+    const api::PreparedCase &pc =
+        session.prepared("pr", "ca", ReorderKind::Vanilla);
+    api::RunRequest req;
+    req.app = "pr";
+    req.dataset = "ca";
+    req.iters = 4;
+    EXPECT_EQ(pc.buckets->current(), nullptr);
+
+    const SimStats first = session.run(req, pc).value().stats;
+    const std::shared_ptr<const StepBuckets> built =
+        pc.buckets->current();
+    ASSERT_NE(built, nullptr);
+    const SimStats second = session.run(req, pc).value().stats;
+    EXPECT_EQ(pc.buckets->current(), built) << "second run rebuilt";
+    EXPECT_EQ(exportStats(first).entries(),
+              exportStats(second).entries());
+
+    // Another sub-tensor size is another key: the slot is rebuilt.
+    api::RunRequest other = req;
+    other.sp.sub_tensor_cols = built->t() * 2;
+    ASSERT_TRUE(session.run(other, pc).ok());
+    const std::shared_ptr<const StepBuckets> rebuilt =
+        pc.buckets->current();
+    ASSERT_NE(rebuilt, built);
+    EXPECT_EQ(rebuilt->t(), built->t() * 2);
+
+    // Back on the default key, the rebuilt slot gives the same run.
+    const SimStats again = session.run(req, pc).value().stats;
+    EXPECT_EQ(pc.buckets->current()->t(), built->t());
+    EXPECT_EQ(exportStats(first).entries(),
+              exportStats(again).entries());
+
+    // Copies of the case share the memo.
+    const api::PreparedCase copy = pc;
+    EXPECT_EQ(copy.buckets, pc.buckets);
+}
+
+TEST(Session, ConcurrentRunsOfOnePreparedCaseAgree)
+{
+    // Four threads race the first bucket build and then reuse it
+    // through the shared memo.  Runs under the TSan CI job.
+    api::Session session;
+    const api::PreparedCase &pc =
+        session.prepared("sssp", "ca", ReorderKind::Vanilla);
+    constexpr int kThreads = 4;
+    std::vector<std::thread> threads;
+    std::vector<StatusOr<api::RunReport>> reports(
+        kThreads, Status(StatusCode::Internal, "unset"));
+    for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&session, &pc, &reports, i] {
+            api::RunRequest req;
+            req.app = "sssp";
+            req.dataset = "ca";
+            req.iters = 4;
+            reports[static_cast<std::size_t>(i)] = session.run(req, pc);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    ASSERT_TRUE(reports[0].ok()) << reports[0].status().toString();
+    for (int i = 1; i < kThreads; ++i) {
+        const auto &report = reports[static_cast<std::size_t>(i)];
+        ASSERT_TRUE(report.ok()) << report.status().toString();
+        EXPECT_EQ(exportStats(report->stats).entries(),
+                  exportStats(reports[0]->stats).entries());
+    }
+}
+
 TEST(Session, ConcurrentRunsShareOnePreparedDataset)
 {
     // The serve daemon funnels every tenant through one Session, so

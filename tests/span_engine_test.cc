@@ -215,6 +215,31 @@ INSTANTIATE_TEST_SUITE_P(Lanes, AppCell,
                                             ::testing::Range(0, 6)),
                          appCellName);
 
+TEST(GcnMm, LanePathIsBitwiseEqualToElementPath)
+{
+    // gcn's dense feature transform (OpKind::Mm) runs on the packed
+    // MulAdd row kernel when lanes are engaged; it must reproduce the
+    // reference executor's result bit for bit.
+    for (const int shape : {0, 1, 2}) {
+        SCOPED_TRACE(kShapes[shape]);
+        const api::PreparedCase pc =
+            api::prepareCase("gcn", shapeMatrix(shape, 192, 1536));
+        bool has_mm = false;
+        for (const OpNode &op : pc.app.program.ops())
+            has_mm = has_mm || op.kind == OpKind::Mm;
+        ASSERT_TRUE(has_mm);
+
+        const CellResult element = runCell(pc, 4, 1, 1);
+        const CellResult lanes = runCell(pc, 4, 0, 1);
+        ASSERT_EQ(lanes.result.size(), element.result.size());
+        ASSERT_FALSE(element.result.empty());
+        EXPECT_EQ(std::memcmp(lanes.result.data(), element.result.data(),
+                              element.result.size() * sizeof(Value)),
+                  0);
+        EXPECT_EQ(lanes.metrics, element.metrics);
+    }
+}
+
 // ---- tier 2: all five semirings through a synthetic program -------
 
 const SemiringKind kKinds[] = {

@@ -91,6 +91,42 @@ TEST(CscMatrix, FromCooBasics)
     EXPECT_EQ(csc.colVals(0)[0], 2.0);
 }
 
+TEST(CsrMatrix, CopiesShareStorageAndCompareByContent)
+{
+    Rng rng(55);
+    const CooMatrix coo = generateUniform(40, 300, rng);
+    const CsrMatrix a = CsrMatrix::fromCoo(coo);
+
+    // A copy is a refcount bump: same block, same arrays.
+    const CsrMatrix copy = a;
+    EXPECT_EQ(copy.storage(), a.storage());
+    EXPECT_EQ(copy.vals().data(), a.vals().data());
+    EXPECT_EQ(copy, a);
+
+    // Independently built from the same input: separate blocks,
+    // equal contents.
+    const CsrMatrix b = CsrMatrix::fromCoo(coo);
+    EXPECT_NE(b.storage(), a.storage());
+    EXPECT_EQ(b, a);
+
+    // One changed value makes them unequal.
+    CooMatrix changed = coo;
+    changed.canonicalize();
+    changed.entries().front().val += 1.0;
+    EXPECT_NE(CsrMatrix::fromCoo(changed), a);
+
+    // The same holds for the CSC twin.
+    const CscMatrix csc = CscMatrix::fromCsr(a);
+    const CscMatrix csc_copy = csc;
+    EXPECT_EQ(csc_copy.storage(), csc.storage());
+    EXPECT_EQ(CscMatrix::fromCoo(coo), csc);
+    EXPECT_NE(CscMatrix::fromCoo(changed), csc);
+
+    // Default-constructed matrices are the empty 0 x 0 matrix.
+    EXPECT_EQ(CsrMatrix(), CsrMatrix::fromCoo(CooMatrix(0, 0)));
+    EXPECT_TRUE(CscMatrix().validate());
+}
+
 class FormatRoundTrip : public ::testing::TestWithParam<std::uint64_t>
 {
 };
