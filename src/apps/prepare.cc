@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "sparse/generate.hh"
 #include "util/logging.hh"
 
 namespace sparsepipe {
@@ -58,15 +59,13 @@ CsrMatrix
 prepareStochastic(const CooMatrix &m)
 {
     // The values depend only on the canonical row lengths, so a
-    // dirty input is canonicalized in a copy and then rewritten.
-    const auto stochastic = [](Value, Idx row_nnz) {
-        return 1.0 / static_cast<Value>(row_nnz);
-    };
+    // dirty input goes through rowStochastic, which canonicalizes
+    // its copy before it rewrites.
     if (m.isClean())
-        return CsrMatrix::fromCleanCoo(m, stochastic);
-    CooMatrix copy = m;
-    copy.canonicalize();
-    return CsrMatrix::fromCleanCoo(copy, stochastic);
+        return CsrMatrix::fromCleanCoo(m, [](Value, Idx row_nnz) {
+            return 1.0 / static_cast<Value>(row_nnz);
+        });
+    return CsrMatrix::fromCoo(rowStochastic(m));
 }
 
 CsrMatrix

@@ -40,10 +40,10 @@ estimateResidentBytes(const std::string &dataset)
     const DatasetSpec *spec = findDatasetSpec(dataset);
     if (!spec)
         return 0;
-    // Prepared CSR + CSC twin: ~12 B/nz each plus one 8 B pointer
-    // array each.  A run binds that storage shared (no per-run
-    // operand copy), so nothing more is charged for it.
-    return static_cast<std::uint64_t>(spec->nnz) * 24 +
+    // Prepared CSR + CSC twin: 16 B/nz each (8 B index, 8 B value)
+    // plus an 8 B/row pointer array each.  A run binds that storage
+    // shared (no per-run operand copy), so nothing more is charged.
+    return static_cast<std::uint64_t>(spec->nnz) * 32 +
            static_cast<std::uint64_t>(spec->rows) * 16;
 }
 

@@ -7,6 +7,9 @@
  *  - applySymmetricPermutation (row-direct) vs add-then-canonicalize;
  *  - prepareSpd (row merge with the CSC twin) vs triplet-wise
  *    symmetrise-then-canonicalize;
+ *  - prepareBoolean / prepareWeighted / prepareStochastic (values
+ *    rewritten while the CSR is built) vs rewriting a COO copy and
+ *    compressing it, on clean and dirty inputs;
  *  - buildBlockedLayout (stamp array) vs a hash set of block ids.
  *
  * Inputs are the differential fuzzer's case-generator operands plus
@@ -93,6 +96,29 @@ referenceSpd(const CooMatrix &m)
     return CsrMatrix::fromCoo(std::move(sym));
 }
 
+/** The by-value prepare: rewrite a copy's values, then compress. */
+template <typename F>
+CsrMatrix
+referenceRewrite(CooMatrix m, F f)
+{
+    for (Triplet &t : m.entries())
+        t.val = f(t.val);
+    return CsrMatrix::fromCoo(std::move(m));
+}
+
+CsrMatrix
+referenceStochastic(CooMatrix m)
+{
+    m.canonicalize();
+    std::vector<Idx> outdeg(static_cast<std::size_t>(m.rows()), 0);
+    for (const Triplet &t : m.entries())
+        ++outdeg[static_cast<std::size_t>(t.row)];
+    for (Triplet &t : m.entries())
+        t.val = 1.0 / static_cast<Value>(
+                          outdeg[static_cast<std::size_t>(t.row)]);
+    return CsrMatrix::fromCoo(std::move(m));
+}
+
 Idx
 referenceBlocks(const CsrMatrix &matrix, Idx block)
 {
@@ -155,6 +181,16 @@ checkAll(const CooMatrix &raw, std::uint64_t seed)
     }
 
     expectSameCsr(prepareSpd(canon), referenceSpd(canon));
+    for (const CooMatrix *in :
+         std::initializer_list<const CooMatrix *>{&raw, &canon}) {
+        expectSameCsr(prepareBoolean(*in),
+                      referenceRewrite(*in, [](Value) { return 1.0; }));
+        expectSameCsr(prepareWeighted(*in),
+                      referenceRewrite(*in, [](Value v) {
+                          return v <= 0.0 ? 0.1 : v;
+                      }));
+        expectSameCsr(prepareStochastic(*in), referenceStochastic(*in));
+    }
 
     for (Idx block : {1, 3, 16, 256})
         EXPECT_EQ(buildBlockedLayout(csr, block).value().nonzero_blocks,
